@@ -15,7 +15,7 @@ use rsq_engine::{
     RunStats, Sink,
 };
 // Shared with the serve layer so both render identical value output.
-use rsq_json::node_span;
+use rsq_json::Emitter;
 use rsq_mmap::{MapPolicy, MmapInput};
 use rsq_obs::{
     chrome_trace_json, prometheus, prometheus_serve, ServeCounters, STATS_SCHEMA_VERSION,
@@ -655,23 +655,9 @@ fn read_input_plain(file: Option<&str>) -> Result<Vec<u8>, CliError> {
     }
 }
 
-/// Writes one matched node as raw passthrough (DESIGN.md §15): the
-/// document's own bytes go straight to the writer — no per-match UTF-8
-/// validation, no intermediate `String`. Unterminated spans (truncated
-/// input) render as `<malformed>`, as the text path always did.
-fn write_node(out: &mut dyn Write, doc: &[u8], pos: usize) -> std::io::Result<()> {
-    match node_span(doc, pos) {
-        // PANIC-OK: node_span ranges are in bounds of `doc` by construction
-        Some(span) => out.write_all(&doc[span])?,
-        None => out.write_all(b"<malformed>")?,
-    }
-    out.write_all(b"\n")
-}
-
-/// [`write_node`] with the CLI's write-error classification.
-fn emit_node(out: &mut dyn Write, doc: &[u8], pos: usize) -> Result<(), CliError> {
-    write_node(out, doc, pos)
-        .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))
+/// Classifies an output error as the CLI's write failure.
+fn write_error(e: std::io::Error) -> CliError {
+    CliError::new(CliErrorKind::Failure, format!("write error: {e}"))
 }
 
 fn compile(invocation: &Invocation) -> Result<Engine, CliError> {
@@ -811,8 +797,7 @@ pub fn run(
         };
     }
     let emit = |out: &mut dyn Write, text: std::fmt::Arguments<'_>| {
-        writeln!(out, "{text}")
-            .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))
+        writeln!(out, "{text}").map_err(write_error)
     };
     // Writes the metrics exposition (when requested) and the stderr
     // stats/profile report for a finished single-document run.
@@ -863,7 +848,7 @@ pub fn run(
             // Stats gathered only to feed --metrics-out: nothing on stderr.
             (_, None) => Ok(()),
         }
-        .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))
+        .map_err(write_error)
     };
     let want_profile = invocation.profile;
     let want_stats = invocation.stats.is_some() || invocation.metrics_out.is_some();
@@ -905,8 +890,7 @@ pub fn run(
                 .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))?;
             let automaton = rsq_query::Automaton::compile(&query)
                 .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))?;
-            write!(out, "{}", automaton.to_dot())
-                .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))
+            write!(out, "{}", automaton.to_dot()).map_err(write_error)
         }
         Mode::Count => {
             let engine = compile(invocation)?;
@@ -928,7 +912,7 @@ pub fn run(
             add_driver_stages(&mut report, ingest_ns, t_sink);
             emit_stats(err, report, &counters, &perf)
         }
-        Mode::Positions => {
+        Mode::Positions | Mode::Values => {
             let engine = compile(invocation)?;
             let t_ingest = want_profile.then(Instant::now);
             let input = read_input(&engine, invocation)?;
@@ -944,31 +928,15 @@ pub fn run(
                 &mut perf,
             )?;
             let t_sink = want_profile.then(Instant::now);
-            for pos in sink.into_positions() {
-                emit(out, format_args!("{pos}"))?;
+            let positions = sink.into_positions();
+            let mut emitter = Emitter::new(&mut *out);
+            if invocation.mode == Mode::Positions {
+                emitter.positions(&positions)
+            } else {
+                emitter.values(&input, &positions)
             }
-            add_driver_stages(&mut report, ingest_ns, t_sink);
-            emit_stats(err, report, &counters, &perf)
-        }
-        Mode::Values => {
-            let engine = compile(invocation)?;
-            let t_ingest = want_profile.then(Instant::now);
-            let input = read_input(&engine, invocation)?;
-            let ingest_ns = t_ingest.map(elapsed_ns);
-            let mut sink = PositionsSink::new();
-            let mut report = run_engine(
-                &engine,
-                &input,
-                &mut sink,
-                want_stats,
-                want_profile,
-                &counters,
-                &mut perf,
-            )?;
-            let t_sink = want_profile.then(Instant::now);
-            for pos in sink.into_positions() {
-                emit_node(out, &input, pos)?;
-            }
+            .and_then(|()| emitter.drain())
+            .map_err(write_error)?;
             add_driver_stages(&mut report, ingest_ns, t_sink);
             emit_stats(err, report, &counters, &perf)
         }
@@ -1151,7 +1119,7 @@ fn finish_serve(
         Some(StatsFormat::Human) => writeln!(err, "{}", report.counters),
         None => Ok(()),
     }
-    .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))?;
+    .map_err(write_error)?;
     if let Some(kind) = report.first_failure {
         return Err(CliError::new(
             doc_error_kind(kind),
@@ -1295,7 +1263,7 @@ fn run_serve_unix(
                 Some(StatsFormat::Human) => writeln!(err, "{}", aggregate.counters),
                 None => Ok(()),
             }
-            .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))?;
+            .map_err(write_error)?;
         }
         Ok(())
     };
@@ -1377,31 +1345,27 @@ fn run_batch(
 
     let mut first_failure: Option<CliErrorKind> = None;
     let mut failed = 0usize;
+    // One emitter for the whole batch: results from consecutive
+    // documents share its chunks.
+    let mut emitter = Emitter::new(&mut *out);
     for (i, outcome) in result.outcomes.iter().enumerate() {
         match outcome {
             Ok(output) => match invocation.mode {
-                Mode::Count => writeln!(out, "{}", output.count),
-                Mode::Positions => output
-                    .positions
-                    .iter()
-                    .try_for_each(|pos| writeln!(out, "{pos}")),
-                _ => output
-                    .positions
-                    .iter()
-                    // PANIC-OK: one outcome per document, so i < docs.len()
-                    .try_for_each(|pos| write_node(out, docs[i], *pos)),
+                Mode::Count => emitter.number(output.count),
+                Mode::Positions => emitter.positions(&output.positions),
+                // PANIC-OK: one outcome per document, so i < docs.len()
+                _ => emitter.values(docs[i], &output.positions),
             }
-            .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))?,
+            .map_err(write_error)?,
             Err(doc_err) => {
                 failed += 1;
                 first_failure.get_or_insert(doc_error_kind(doc_err.kind));
                 // PANIC-OK: labels grows in lockstep with the documents, so i < labels.len()
-                writeln!(err, "{}: {}", labels[i], doc_err.message).map_err(|e| {
-                    CliError::new(CliErrorKind::Failure, format!("write error: {e}"))
-                })?;
+                writeln!(err, "{}: {}", labels[i], doc_err.message).map_err(write_error)?;
             }
         }
     }
+    emitter.drain().map_err(write_error)?;
 
     if let Some(path) = &invocation.metrics_out {
         let mut text = prometheus(
@@ -1458,7 +1422,7 @@ fn run_batch(
             None => Ok(()),
         },
     }
-    .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))?;
+    .map_err(write_error)?;
 
     match first_failure {
         Some(kind) => Err(CliError::new(
@@ -2363,6 +2327,91 @@ mod tests {
     }
 
     const SERVE_INPUT: &[u8] = b"{\"a\": {\"b\": 1}}\n{\"b\": [1, {\"b\": 2}]}\n";
+
+    /// NDJSON whose `$..b` matches cover escapes, whitespace and CRLF
+    /// between values, a value running to the end of its line, and
+    /// unterminated values (`<malformed>`).
+    const EMIT_CORPUS: &[u8] = b"{\"b\": \"x\\\"y\", \"c\": {\"b\" : [1, \"]\\\\\"]}}\r\n\
+        {\"b\":\t-12.5e3 ,\"b\"\r\n:\r\nnull, \"b\": \"caf\xc3\xa9\"}\n\
+        \n\
+        {\"b\": {\"c\": [1, 2]\n\
+        {\"a\": [{\"b\": tru\r\n\
+        {\"b\": \"open";
+
+    /// What every mode printed before the shared emitter, per document
+    /// of [`EMIT_CORPUS`]: one write per span (or `<malformed>`) and one
+    /// per newline in values mode, one `writeln!` per line otherwise.
+    fn per_match_rendering(mode: &Mode) -> Vec<u8> {
+        let engine = Engine::from_text("$..b").unwrap();
+        let mut out = Vec::new();
+        for range in rsq_batch::split_ndjson(EMIT_CORPUS) {
+            let doc = &EMIT_CORPUS[range];
+            let positions = engine.try_positions(doc).unwrap();
+            match mode {
+                Mode::Count => writeln!(out, "{}", positions.len()).unwrap(),
+                Mode::Positions => positions.iter().for_each(|p| writeln!(out, "{p}").unwrap()),
+                _ => {
+                    for &pos in &positions {
+                        match rsq_json::node_span(doc, pos) {
+                            Some(span) => out.write_all(&doc[span]).unwrap(),
+                            None => out.write_all(b"<malformed>").unwrap(),
+                        }
+                        out.write_all(b"\n").unwrap();
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_output_path_matches_the_per_match_rendering() {
+        let expected = per_match_rendering(&Mode::Values);
+        let text = String::from_utf8_lossy(&expected);
+        assert!(text.contains("\"x\\\"y\"\n"), "{text}");
+        assert!(text.contains("-12.5e3\n"), "{text}");
+        assert_eq!(text.matches("<malformed>\n").count(), 2, "{text}");
+
+        for mode in [Mode::Values, Mode::Positions, Mode::Count] {
+            let expected = per_match_rendering(&mode);
+            // Serve: the pipe protocol over the whole corpus.
+            let mut out = Vec::new();
+            run_serve_pipe(
+                &serve_invocation(mode.clone()),
+                EMIT_CORPUS,
+                &mut out,
+                &mut Vec::new(),
+            )
+            .unwrap();
+            assert_eq!(out, expected, "serve, {mode:?}");
+            // Batch: the same corpus as an NDJSON file.
+            with_temp_file(std::str::from_utf8(EMIT_CORPUS).unwrap(), |path| {
+                let mut inv = serve_invocation(mode.clone());
+                inv.serve = None;
+                inv.batch = Some(BatchSource::Ndjson(path.to_owned()));
+                assert_eq!(
+                    run_to_string(&inv).unwrap().into_bytes(),
+                    expected,
+                    "batch, {mode:?}"
+                );
+            });
+            // Single document: each line as its own file, under every
+            // ingest policy.
+            for mmap in [MapPolicy::On, MapPolicy::Off] {
+                let mut out = Vec::new();
+                for range in rsq_batch::split_ndjson(EMIT_CORPUS) {
+                    with_temp_file(std::str::from_utf8(&EMIT_CORPUS[range]).unwrap(), |path| {
+                        let mut inv = serve_invocation(mode.clone());
+                        inv.serve = None;
+                        inv.file = Some(path.to_owned());
+                        inv.mmap = mmap;
+                        run(&inv, &mut out, &mut Vec::new()).unwrap();
+                    });
+                }
+                assert_eq!(out, expected, "single document, {mode:?}, {mmap:?}");
+            }
+        }
+    }
 
     #[test]
     fn serve_pipe_counts_and_reports_stats_json() {

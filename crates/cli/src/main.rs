@@ -14,7 +14,8 @@
 //! while bytes arrive. Diagnostics go to stderr only; the exit code
 //! identifies the failure class (see `--help`).
 
-use rsq_cli::{run, Invocation};
+use rsq_cli::{run, CliError, CliErrorKind, Invocation};
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -27,15 +28,24 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Unlocked handles: serve mode hands the writers to an emitter
-    // thread, and the lock guards are not `Send`. `Stdout`/`Stderr`
-    // lock per write, which every mode's line-at-a-time output is
-    // already sized for.
-    match run(&invocation, &mut std::io::stdout(), &mut std::io::stderr()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(error) => {
-            eprintln!("rsq: {error}");
-            ExitCode::from(error.kind.exit_code())
-        }
-    }
+    // Stdout is line-buffered, which would make every result line its
+    // own write(2); a BufWriter batches them (the emitter's 64 KiB
+    // chunks pass straight through it). The handles stay unlocked
+    // because serve mode hands the writers to an emitter thread and the
+    // lock guards are not `Send`; `BufWriter<Stdout>` is. Serve flushes
+    // after every response, so clients still see answers immediately.
+    let mut out = BufWriter::new(std::io::stdout());
+    let result = run(&invocation, &mut out, &mut std::io::stderr());
+    // Flush before exiting on every path: a failed run may still have
+    // written results for the documents that succeeded.
+    let error = match (result, out.flush()) {
+        (Ok(()), Ok(())) => return ExitCode::SUCCESS,
+        (Err(error), _) => error,
+        (Ok(()), Err(e)) => CliError {
+            kind: CliErrorKind::Failure,
+            message: format!("write error: {e}"),
+        },
+    };
+    eprintln!("rsq: {error}");
+    ExitCode::from(error.kind.exit_code())
 }

@@ -32,12 +32,14 @@
 
 #![warn(missing_docs)]
 
+mod emit;
 mod extract;
 mod parser;
 mod serialize;
 mod stats;
 mod strings;
 
+pub use emit::Emitter;
 pub use extract::{node_span, node_text};
 pub use parser::{parse, parse_with_options, ParseError, ParseOptions};
 pub use serialize::{to_string, to_string_pretty};

@@ -108,8 +108,10 @@ pub fn chrome_trace_json(records: &[SpanRecord]) -> String {
         let start = if r.start_ns != 0 {
             r.start_ns
         } else {
+            // PANIC-OK: slot indexes `seen`, and `cursors` has one entry per `seen` worker
             cursors[slot]
         };
+        // PANIC-OK: slot indexes `seen`, and `cursors` has one entry per `seen` worker
         cursors[slot] = start.saturating_add(r.total_ns());
         let tid = r.worker + 1;
 

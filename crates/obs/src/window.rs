@@ -216,11 +216,11 @@ impl WindowSnapshot {
             if i > 0 {
                 s.push(',');
             }
-            // PANIC-OK: Route::index is < the per-route array length (one slot per route)
             let _ = write!(
                 s,
                 "\"{}\":{}",
                 route.as_str(),
+                // PANIC-OK: Route::index is < the per-route array length (one slot per route)
                 self.route_docs[route.index()]
             );
         }

@@ -46,6 +46,7 @@ pub use telemetry::{Telemetry, TelemetryOptions};
 use pool::Pool;
 use rsq_batch::{DocError, DocErrorKind, Frame, NdjsonFramer};
 use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
+use rsq_json::Emitter;
 use rsq_obs::{FlightRecorder, Histogram, ProfileStats, ServeCounters, SpanRecord};
 use rsq_perf::{CounterSet, PerfMode, PerfStats};
 use rsq_query::Query;
@@ -211,39 +212,6 @@ impl ServeReport {
     }
 }
 
-/// Renders the response body for one successful document — exactly the
-/// bytes batch mode would print for it.
-fn render(mode: ResponseMode, doc: &[u8], positions: &[usize]) -> Vec<u8> {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    match mode {
-        ResponseMode::Count => {
-            let _ = writeln!(s, "{}", positions.len());
-        }
-        ResponseMode::Positions => {
-            for p in positions {
-                let _ = writeln!(s, "{p}");
-            }
-        }
-        ResponseMode::Values => {
-            // Raw passthrough (DESIGN.md §15): the matched spans are the
-            // document's own bytes, copied once into the response with
-            // no per-match UTF-8 validation or formatting.
-            let mut out = Vec::new();
-            for &p in positions {
-                match rsq_json::node_span(doc, p) {
-                    // PANIC-OK: node_span ranges are in bounds of `doc` by construction
-                    Some(span) => out.extend_from_slice(&doc[span]),
-                    None => out.extend_from_slice(b"<malformed>"),
-                }
-                out.push(b'\n');
-            }
-            return out;
-        }
-    }
-    s.into_bytes()
-}
-
 /// The emitter thread's accumulated accounting.
 struct EmitTally {
     ok: u64,
@@ -297,6 +265,10 @@ fn emit_loop<W: Write, E: Write>(
     err: &mut E,
 ) -> EmitTally {
     let mut tally = EmitTally::new();
+    // The same emitter the CLI's batch mode renders through, so each
+    // response is exactly the bytes batch mode prints for its document;
+    // flushed after every response so clients see it immediately.
+    let mut emitter = Emitter::new(&mut *out);
     while let Some((seq, mut resp)) = pool.take_next_response() {
         if !resp.framer_rejected {
             tally.latency.record(resp.latency_ns);
@@ -304,8 +276,12 @@ fn emit_loop<W: Write, E: Write>(
         let wrote = match &resp.result {
             Ok(positions) => {
                 tally.ok += 1;
-                let body = render(mode, &resp.doc, positions);
-                out.write_all(&body).and_then(|()| out.flush())
+                match mode {
+                    ResponseMode::Count => emitter.number(positions.len() as u64),
+                    ResponseMode::Positions => emitter.positions(positions),
+                    ResponseMode::Values => emitter.values(&resp.doc, positions),
+                }
+                .and_then(|()| emitter.flush())
             }
             Err(e) => {
                 match e.kind {

@@ -2,7 +2,9 @@
 # Local CI gate: formatting, lints, the static-analysis driver (unsafe
 # audit + concurrency/panic-surface/consistency passes), tier-1 tests,
 # an overflow-checked test pass, the fast-path parity gate (routed
-# walker vs the general engine over the full query catalog), the mmap
+# walker vs the general engine over the full query catalog), the
+# catalog values gate (default-mode output across ingest policies and
+# backends), the serve-vs-batch smoke in every output mode, the mmap
 # ingest smoke, the hardware-counter and timeline-trace smokes, the
 # profile-overhead gate, differential fuzz smoke, and (when the host
 # toolchain provides them) Miri, AddressSanitizer, and ThreadSanitizer
@@ -46,26 +48,44 @@ cargo test -p rsq-batch -q
 RSQ_BACKEND=swar cargo test -p rsq-batch -q
 
 echo "==> serve smoke gate (pipe protocol vs --batch-ndjson oracle)"
-# Stream a corpus with CRLF lines, a blank line, an in-string newline,
-# and no trailing newline through `rsq --serve`, fragmented into 3-byte
-# writes so the incremental framer crosses escape/CRLF boundaries, and
-# require byte-identical stdout to the batch run plus a clean drain
+# Stream a corpus with CRLF lines, a blank line, escaped quotes and an
+# escaped newline in strings, whitespace between values, a value left
+# unterminated (rendered `<malformed>`), and no trailing newline through
+# `rsq --serve`, fragmented into 3-byte writes so the incremental framer
+# crosses escape/CRLF boundaries, and require byte-identical stdout to
+# the batch run in count, values and positions mode, plus a clean drain
 # (exit 0, silent stderr). The deeper fragmentation/fault matrix lives
 # in the rsq-serve robustness suite below.
 cargo build --release -p rsq-cli
 SERVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$SERVE_TMP"' EXIT
-printf '{"a": {"b": 1}}\n{"b": [1, 2, 3]}\r\n\n{"b": "x\\ny"}\n{"c": 0}' \
+printf '{"a": {"b": 1}}\n{"b": [1, 2, 3]}\r\n\n{"b": "x\\ny"}\n{"c": 0}\n{"b" :\t"q\\"t" , "b":\r\n-1.5e3}\r\n{"b": {"c": [1, 2]' \
   > "$SERVE_TMP/corpus.ndjson"
-./target/release/rsq --count '$..b' --batch-ndjson "$SERVE_TMP/corpus.ndjson" \
-  > "$SERVE_TMP/batch.out"
-dd if="$SERVE_TMP/corpus.ndjson" bs=3 2>/dev/null \
-  | ./target/release/rsq --serve --count '$..b' \
-  > "$SERVE_TMP/serve.out" 2> "$SERVE_TMP/serve.err"
-diff -u "$SERVE_TMP/batch.out" "$SERVE_TMP/serve.out"
-if [ -s "$SERVE_TMP/serve.err" ]; then
-  echo "serve smoke gate: unexpected diagnostics on stderr:"
-  cat "$SERVE_TMP/serve.err"
+for mode in --count --values --positions; do
+  flag="$mode"
+  [ "$mode" = --values ] && flag=""
+  ./target/release/rsq $flag '$..b' --batch-ndjson "$SERVE_TMP/corpus.ndjson" \
+    > "$SERVE_TMP/batch.out"
+  dd if="$SERVE_TMP/corpus.ndjson" bs=3 2>/dev/null \
+    | ./target/release/rsq --serve $flag '$..b' \
+    > "$SERVE_TMP/serve.out" 2> "$SERVE_TMP/serve.err"
+  if ! diff -u "$SERVE_TMP/batch.out" "$SERVE_TMP/serve.out"; then
+    echo "serve smoke gate: $mode output differs from --batch-ndjson"
+    exit 1
+  fi
+  if [ -s "$SERVE_TMP/serve.err" ]; then
+    echo "serve smoke gate ($mode): unexpected diagnostics on stderr:"
+    cat "$SERVE_TMP/serve.err"
+    exit 1
+  fi
+  cp "$SERVE_TMP/serve.out" "$SERVE_TMP/serve$mode.out"
+done
+# The values run must actually cover the escaped-quote and unterminated
+# cases, or the comparison above proves little.
+if ! grep -qxF '"q\"t"' "$SERVE_TMP/serve--values.out" \
+  || ! grep -qx '<malformed>' "$SERVE_TMP/serve--values.out"; then
+  echo "serve smoke gate: values output lacks the escape/<malformed> cases:"
+  cat "$SERVE_TMP/serve--values.out"
   exit 1
 fi
 
@@ -105,6 +125,30 @@ if [ "$FAST_ROUTED" -lt 8 ]; then
   exit 1
 fi
 echo "parity gate: $QUERIES queries x 2 backends agree; $FAST_ROUTED routed fast"
+
+echo "==> catalog values gate (default-mode output: mmap on/off, SWAR backend)"
+# The staged emitter and the word-at-a-time span scan must print the
+# same bytes whatever the ingest path and classifier backend: every
+# catalog query's default (values) output under --mmap on, --mmap off
+# and RSQ_BACKEND=swar must be identical.
+VALUES=0
+VALUE_QUERIES=0
+while IFS=$'\t' read -r id file query; do
+  doc="$SERVE_TMP/corpus/$file"
+  VALUE_QUERIES=$((VALUE_QUERIES + 1))
+  ./target/release/rsq --mmap on "$query" "$doc" > "$SERVE_TMP/values-on.txt"
+  ./target/release/rsq --mmap off "$query" "$doc" > "$SERVE_TMP/values-off.txt"
+  RSQ_BACKEND=swar ./target/release/rsq "$query" "$doc" > "$SERVE_TMP/values-swar.txt"
+  for variant in off swar; do
+    if ! cmp -s "$SERVE_TMP/values-on.txt" "$SERVE_TMP/values-$variant.txt"; then
+      echo "catalog values gate: $id ($query) differs between --mmap on and $variant:"
+      diff "$SERVE_TMP/values-on.txt" "$SERVE_TMP/values-$variant.txt" | head
+      exit 1
+    fi
+  done
+  VALUES=$((VALUES + $(wc -l < "$SERVE_TMP/values-on.txt")))
+done < "$SERVE_TMP/corpus/catalog.tsv"
+echo "catalog values gate: $VALUE_QUERIES queries agree ($VALUES value lines each way)"
 
 echo "==> mmap smoke gate (--mmap on vs off over a multi-MB batch dir)"
 # Multi-MiB documents through --batch-dir under both ingest policies:
