@@ -643,7 +643,10 @@ pub fn run_document_contained_with<S: rsq_engine::Sink>(
 ) -> Result<(), DocError> {
     contain(move || {
         let run = match profile {
-            Some(p) => engine.try_run_into_profile(doc, sink, p),
+            Some(p) => {
+                p.stats.bytes = p.stats.bytes.saturating_add(doc.len() as u64);
+                engine.try_run_with_recorder(doc, sink, p)
+            }
             None => engine.try_run(doc, sink),
         };
         run.map_err(|e| DocError::from_run(&e))
@@ -675,11 +678,15 @@ fn run_one(
 ) -> Result<DocOutput, DocError> {
     scratch.positions.clear();
     let run = if let Some(p) = profile {
-        engine.try_run_into_profile(doc, &mut scratch.positions, p)
+        p.stats.bytes = p.stats.bytes.saturating_add(doc.len() as u64);
+        engine.try_run_with_recorder(doc, &mut scratch.positions, p)
     } else if collect_stats {
+        // Record into a fresh report and merge it only on success, so
+        // the batch totals cover successful documents alone.
+        let mut s = RunStats::for_document(doc.len());
         engine
-            .try_run_with_stats(doc, &mut scratch.positions)
-            .map(|s| *stats += s)
+            .try_run_with_recorder(doc, &mut scratch.positions, &mut s)
+            .map(|()| *stats += s)
     } else {
         engine.try_run(doc, &mut scratch.positions)
     };

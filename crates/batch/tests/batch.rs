@@ -160,8 +160,11 @@ fn merged_stats_match_sequential_totals() {
     let engine = Engine::from_text("$..a").unwrap();
     let mut expected = rsq_engine::RunStats::default();
     for doc in &doc_refs {
-        let mut sink = Vec::new();
-        if let Ok(stats) = engine.try_run_with_stats(doc, &mut sink) {
+        let mut stats = rsq_engine::RunStats::for_document(doc.len());
+        if engine
+            .try_run_with_recorder(doc, &mut Vec::new(), &mut stats)
+            .is_ok()
+        {
             expected += stats;
         }
     }

@@ -53,7 +53,7 @@ use rsq_bench::{
 };
 use rsq_datagen::catalog::{by_id, catalog};
 use rsq_datagen::{Dataset, GenConfig};
-use rsq_engine::{CountSink, Engine, EngineOptions};
+use rsq_engine::{CountSink, Engine, EngineOptions, RunStats};
 use rsq_query::Query;
 use std::collections::BTreeMap;
 
@@ -352,9 +352,9 @@ fn experiment_d(report: &mut Report) {
             })
             .into_bytes();
         let m = measure(bytes.len(), REPS, || engine.count(&bytes));
-        let mut sink = CountSink::new();
-        let stats = engine
-            .try_run_with_stats(&bytes, &mut sink)
+        let mut stats = RunStats::for_document(bytes.len());
+        engine
+            .try_run_with_recorder(&bytes, &mut CountSink::new(), &mut stats)
             .expect("crossref run succeeds");
         report.push(ReportEntry {
             experiment: "experiment-d".to_owned(),
@@ -557,12 +557,13 @@ fn fast_path(report: &mut Report) {
         // Parity first: the routes must agree position for position, not
         // just on counts.
         let mut fast_sink = PositionsSink::new();
-        let fast_stats = fast
-            .try_run_with_stats(input, &mut fast_sink)
+        let mut fast_stats = RunStats::for_document(input.len());
+        fast.try_run_with_recorder(input, &mut fast_sink, &mut fast_stats)
             .expect("fast run succeeds");
         let mut general_sink = PositionsSink::new();
-        let general_stats = general
-            .try_run_with_stats(input, &mut general_sink)
+        let mut general_stats = RunStats::for_document(input.len());
+        general
+            .try_run_with_recorder(input, &mut general_sink, &mut general_stats)
             .expect("general run succeeds");
         assert_eq!(
             fast_sink.positions(),
@@ -1139,11 +1140,11 @@ fn telemetry_overhead(report: &mut Report) {
 }
 
 /// Observability ablation (DESIGN.md §8): `try_run` vs
-/// `try_run_with_stats`. Tier A statistics are gathered by monomorphising
-/// the inner loops over a recorder, so the two entry points must be
-/// throughput-indistinguishable.
+/// `try_run_with_recorder` driving a [`RunStats`]. Tier A statistics are
+/// gathered by monomorphising the inner loops over a recorder, so the two
+/// runs must be throughput-indistinguishable.
 fn stats_overhead(report: &mut Report) {
-    heading("Stats overhead: try_run vs try_run_with_stats (GB/s)");
+    heading("Stats overhead: try_run vs try_run_with_recorder(RunStats) (GB/s)");
     println!(
         "{:<5} {:<42} {:>8} {:>11} {:>7}",
         "id", "query", "plain", "with-stats", "ratio"
@@ -1161,8 +1162,9 @@ fn stats_overhead(report: &mut Report) {
         });
         let with_stats = measure(input.len(), REPS, || {
             let mut sink = CountSink::new();
+            let mut stats = RunStats::for_document(input.len());
             engine
-                .try_run_with_stats(input, &mut sink)
+                .try_run_with_recorder(input, &mut sink, &mut stats)
                 .expect("catalog run succeeds");
             sink.count()
         });

@@ -140,10 +140,12 @@ pub fn cell(m: Option<Measurement>) -> String {
 #[must_use]
 pub fn run_stats(entry: &CatalogEntry) -> RunStats {
     let engine = Engine::from_text(entry.query).expect("catalog query compiles");
-    let mut sink = CountSink::new();
+    let input = dataset(entry.dataset);
+    let mut stats = RunStats::for_document(input.len());
     engine
-        .try_run_with_stats(dataset(entry.dataset), &mut sink)
-        .expect("catalog run succeeds")
+        .try_run_with_recorder(input, &mut CountSink::new(), &mut stats)
+        .expect("catalog run succeeds");
+    stats
 }
 
 /// Compacts a JSON document to a single line by removing all whitespace

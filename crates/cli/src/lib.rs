@@ -724,9 +724,10 @@ fn run_engine<S: Sink>(
         }
         .map(|()| Some(EngineReport::Profile(Box::new(profile))))
     } else if want_stats {
+        let mut stats = RunStats::for_document(input.len());
         engine
-            .try_run_with_stats(input, sink)
-            .map(|s| Some(EngineReport::Stats(s)))
+            .try_run_with_recorder(input, sink, &mut stats)
+            .map(|()| Some(EngineReport::Stats(stats)))
     } else {
         engine.try_run(input, sink).map(|()| None)
     };

@@ -152,12 +152,16 @@ fn stats_table_goes_to_stderr() {
 const NDJSON: &[u8] = b"{\"a\": 1, \"b\": {\"a\": 2}}\n{\"c\": 0}\n{\"a\": [3, {\"a\": 4}]}\n";
 
 fn with_temp_ndjson(f: impl FnOnce(&str)) {
+    with_temp_corpus(NDJSON, f);
+}
+
+fn with_temp_corpus(corpus: &[u8], f: impl FnOnce(&str)) {
     let path = std::env::temp_dir().join(format!(
         "rsq-e2e-batch-{}-{:?}.ndjson",
         std::process::id(),
         std::thread::current().id()
     ));
-    std::fs::write(&path, NDJSON).unwrap();
+    std::fs::write(&path, corpus).unwrap();
     f(path.to_str().unwrap());
     let _ = std::fs::remove_file(&path);
 }
@@ -258,4 +262,64 @@ fn stats_does_not_corrupt_count_exit_codes() {
     let out = rsq(&["--stats"], Some(DOC));
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("nodes"));
+}
+
+/// Exact `--stats-json` lines (schema v4), one query per route family:
+/// the general main loop, the memmem head start, and the field-chain
+/// fast path. Any change to a counter, a key or the field order shows
+/// up here as a diff.
+#[test]
+fn stats_json_lines_are_pinned_per_route() {
+    const GOLDEN_DOC: &[u8] = br#"{"decoy": {"deep": {"deeper": [1, 2, 3]}}, "note": "price", "store": {"book": {"price": 9, "title": "x"}, "bike": {"price": {"amount": 20, "currency": "EUR"}}, "misc": [10, 20, 30]}}"#;
+    let cases = [
+        (
+            "$.*..price",
+            r#"{"schema_version":4,"route":"general","bytes":182,"blocks_classified":{"structural":3,"depth":0,"seek":0,"quote":0,"total":3},"events":28,"toggle_flips":8,"skips":{"leaf":5,"child":0,"sibling":0,"label":0},"memmem_jumps":0,"memmem_declined":0,"resume_handoffs":0,"max_depth":4,"matches":2}"#,
+        ),
+        (
+            "$..price",
+            r#"{"schema_version":4,"route":"general","bytes":182,"blocks_classified":{"structural":2,"depth":0,"seek":0,"quote":4,"total":6},"events":4,"toggle_flips":1,"skips":{"leaf":0,"child":0,"sibling":0,"label":0},"memmem_jumps":2,"memmem_declined":1,"resume_handoffs":1,"max_depth":1,"matches":2}"#,
+        ),
+        (
+            "$.store.book.price",
+            r#"{"schema_version":4,"route":"field_chain","bytes":182,"blocks_classified":{"structural":1,"depth":0,"seek":1,"quote":0,"total":2},"events":3,"toggle_flips":0,"skips":{"leaf":0,"child":0,"sibling":0,"label":3},"memmem_jumps":3,"memmem_declined":0,"resume_handoffs":0,"max_depth":3,"matches":1}"#,
+        ),
+    ];
+    for (query, expected) in cases {
+        let out = rsq(&["--count", "--stats-json", query], Some(GOLDEN_DOC));
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        assert_eq!(stderr(&out), format!("{expected}\n"), "{query}");
+    }
+}
+
+/// The exact batch `--stats-json` line over a corpus with one malformed
+/// document (rejected by `--strict`) and one that trips `--max-matches`
+/// after doing work: the merged `stats` count the two successful
+/// documents only, with none of the failed runs' partial counters.
+#[test]
+fn batch_stats_json_line_counts_successful_documents_only() {
+    const CORPUS: &[u8] = b"{\"a\": {\"b\": 1}, \"b\": [2, 3]}\n{\"a\": [1, 2}\n{\"c\": {\"b\": {\"b\": 4}}}\n{\"b\": 1, \"x\": {\"b\": 2, \"y\": [{\"b\": 3}]}}\n";
+    const EXPECTED: &str = r#"{"schema_version":4,"batch":{"documents":4,"failed_documents":2,"shards":2,"queue_claims":4,"cache_hits":0,"cache_misses":1,"cache_evictions":0,"cache_hit_ratio":0.0000,"cache_miss_ratio":1.0000},"stats":{"route":"general","bytes":50,"blocks_classified":{"structural":2,"depth":0,"seek":0,"quote":3,"total":5},"events":5,"toggle_flips":1,"skips":{"leaf":1,"child":0,"sibling":0,"label":0},"memmem_jumps":3,"memmem_declined":0,"resume_handoffs":2,"max_depth":1,"matches":4}}"#;
+    with_temp_corpus(CORPUS, |path| {
+        let out = rsq(
+            &[
+                "--count",
+                "--strict",
+                "--max-matches",
+                "2",
+                "--stats-json",
+                "--threads",
+                "2",
+                "--batch-ndjson",
+                path,
+                "$..b",
+            ],
+            None,
+        );
+        assert_eq!(out.status.code(), Some(6), "stderr: {}", stderr(&out));
+        assert_eq!(stdout(&out), "2\n2\n");
+        let err = stderr(&out);
+        let stats: Vec<&str> = err.lines().filter(|l| l.starts_with('{')).collect();
+        assert_eq!(stats, [EXPECTED], "{err}");
+    });
 }

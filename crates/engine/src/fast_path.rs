@@ -76,7 +76,6 @@ pub(crate) fn run_fast_path(
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
-    let _span = rsq_obs::span!(Dispatch);
     // One finder per label step, built once per run (they borrow the
     // plan's needles).
     let finders: Vec<Option<Finder<'_>>> = plan
@@ -172,12 +171,10 @@ fn walk(
                 rec.skip_span(SkipTechnique::Label, seek_from, it.position());
                 for _ in 0..declined {
                     rec.memmem_decline();
-                    rsq_obs::event!(MemmemDecline, seek_from, step as u32);
                 }
                 match outcome {
                     DirectSeek::Composite { pos } => {
                         rec.memmem_jump();
-                        rsq_obs::event!(MemmemJump, pos, step as u32);
                         let Some(ev) = it.next() else { break };
                         rec.event(ev.position());
                         debug_assert_eq!(ev.position(), pos);
@@ -196,11 +193,9 @@ fn walk(
                     }
                     DirectSeek::Atomic { pos } => {
                         rec.memmem_jump();
-                        rsq_obs::event!(MemmemJump, pos, step as u32);
                         debug_assert!(accept_atomic);
                         sink.record(pos)?;
                         rec.matched();
-                        rsq_obs::event!(Match, pos, step as u32);
                         // PANIC-OK: the enclosing while-let just matched stack.last() as Some, and nothing pops between there and here
                         *stack.last_mut().expect("frame present") = Frame::AwaitExit;
                     }
@@ -251,7 +246,6 @@ fn walk(
                 // the enclosing object's end. The closing brace is
                 // delivered as the next event and consumed here.
                 rec.sibling_skip();
-                rsq_obs::event!(SiblingSkip, it.position(), step as u32);
                 let from = it.position();
                 let t = rec.clock();
                 let close = it.fast_forward_to_close(BracketType::Brace);
@@ -288,7 +282,6 @@ fn descend(
     if matches!(plan.steps[stack.len()], PlanStep::Label { .. }) && bracket == BracketType::Bracket
     {
         rec.child_skip();
-        rsq_obs::event!(ChildSkip, pos, stack.len() as u32);
         let t = rec.clock();
         let close = it.skip_past_close(bracket);
         rec.stage_ns(ProfileStage::Classify, t);
@@ -326,7 +319,6 @@ fn enter_tail(
     if plan.tail_accepting {
         sink.record(pos)?;
         rec.matched();
-        rsq_obs::event!(Match, pos, 0u32);
     }
     if plan.tail_run {
         let sub = run_element(
@@ -348,7 +340,6 @@ fn enter_tail(
         // rejecting): skip the subtree like the general loop's child
         // skip would.
         rec.child_skip();
-        rsq_obs::event!(ChildSkip, pos, 0u32);
         let t = rec.clock();
         let close = it.skip_past_close(bracket);
         rec.stage_ns(ProfileStage::Classify, t);

@@ -79,7 +79,7 @@ pub use sink::{CountSink, PositionsSink, Sink, SinkFull};
 pub use rsq_classify::{ValidationError, ValidationErrorKind};
 
 // Tier A observability: run statistics and the recorder abstraction, from
-// the dependency-free `rsq-obs` crate (see `try_run_with_stats`).
+// the dependency-free `rsq-obs` crate (see `try_run_with_recorder`).
 pub use rsq_obs::{BlockStats, ClassifierCounters, NoStats, Recorder, Route, RunStats, SkipStats};
 
 // Compile-time query-shape routing (DESIGN.md §15): the plan the engine
@@ -378,45 +378,11 @@ impl Engine {
     ///
     /// [`RunError::Io`] is never returned from the slice path.
     pub fn try_run<S: Sink>(&self, input: &[u8], sink: &mut S) -> Result<(), RunError> {
-        self.try_run_impl(input, sink, &mut NoStats)
+        self.try_run_with_recorder(input, sink, &mut NoStats)
     }
 
-    /// Like [`try_run`](Self::try_run), but additionally returns Tier A
-    /// [`RunStats`] for the run: bytes and blocks processed per classifier,
-    /// structural events delivered, skip events by kind, `memmem`
-    /// head-start jumps taken and declined, maximum depth reached, and
-    /// matches reported.
-    ///
-    /// The match output is byte-identical to [`try_run`](Self::try_run) on
-    /// the same document: the statistics are gathered by monomorphising the
-    /// engine's inner loops over a recorder parameter, so the plain entry
-    /// points compile to the exact pre-instrumentation code (no branches,
-    /// no atomics) and the counting variant adds only saturating integer
-    /// increments.
-    ///
-    /// On a run that ends early — the sink declines a match, or
-    /// `max_matches` trips — the statistics cover the work performed up to
-    /// that point; for error returns the partial statistics are discarded
-    /// with the run.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_run`](Self::try_run).
-    pub fn try_run_with_stats<S: Sink>(
-        &self,
-        input: &[u8],
-        sink: &mut S,
-    ) -> Result<RunStats, RunError> {
-        let mut stats = RunStats {
-            bytes: input.len() as u64,
-            ..RunStats::default()
-        };
-        self.try_run_impl(input, sink, &mut stats)?;
-        Ok(stats)
-    }
-
-    /// Like [`try_run_with_stats`](Self::try_run_with_stats), but returns
-    /// the full Tier C [`ProfileStats`]: the Tier A counters plus
+    /// Like [`try_run`](Self::try_run), but additionally returns the full
+    /// Tier C [`ProfileStats`] for the run: the Tier A counters plus
     /// per-technique `bytes_skipped` (the byte ranges each skip elided),
     /// wall-clock per pipeline stage, and a bounded-resolution
     /// [`SkipMap`] of the document.
@@ -436,56 +402,34 @@ impl Engine {
         sink: &mut S,
     ) -> Result<ProfileStats, RunError> {
         let mut profile = ProfileStats::for_document(input.len());
-        self.try_run_impl(input, sink, &mut profile)?;
+        self.try_run_with_recorder(input, sink, &mut profile)?;
         Ok(profile)
     }
 
-    /// Like [`try_run_with_profile`](Self::try_run_with_profile), but
-    /// accumulates into a caller-owned [`ProfileStats`]. The batch layer
-    /// reuses one profile (and its clock epoch) per worker across all the
-    /// documents of a shard, so steady-state profiled runs allocate no
-    /// per-document skip map — and a profile built with
-    /// [`ProfileStats::new`] carries no map at all.
-    ///
-    /// `profile.stats.bytes` grows by the document length; everything else
-    /// accumulates through the recorder hooks. Unlike
-    /// [`try_run_with_stats`](Self::try_run_with_stats), on an error
-    /// return the partial work performed before the failure remains in the
-    /// accumulator.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_run`](Self::try_run).
-    pub fn try_run_into_profile<S: Sink>(
-        &self,
-        input: &[u8],
-        sink: &mut S,
-        profile: &mut ProfileStats,
-    ) -> Result<(), RunError> {
-        profile.stats.bytes = profile.stats.bytes.saturating_add(input.len() as u64);
-        self.try_run_impl(input, sink, profile)
-    }
-
     /// Like [`try_run`](Self::try_run), but drives a caller-supplied
-    /// [`Recorder`] through the engine's monomorphized inner loops. This
-    /// is the extension point composite recorders (e.g. the hardware-
-    /// counter wrapper in `rsq-perf`) use to observe stage brackets and
-    /// route decisions without the engine knowing about them; with
-    /// [`NoStats`] it compiles to exactly [`try_run`](Self::try_run).
+    /// [`Recorder`] through the engine's monomorphized inner loops — the
+    /// one observed run path. Tier A statistics come from a
+    /// [`RunStats::for_document`], a Tier C profile from a
+    /// [`ProfileStats`], and composite recorders (e.g. the hardware-
+    /// counter wrapper in `rsq-perf`) observe stage brackets and route
+    /// decisions without the engine knowing about them. With [`NoStats`]
+    /// this compiles to exactly [`try_run`](Self::try_run); a `RunStats`
+    /// run adds only saturating integer increments, and only a profiled
+    /// run reads the clock. The match output is byte-identical in every
+    /// case.
+    ///
+    /// The engine never touches the recorder's `bytes` counter: the
+    /// caller seeds it (the `for_document` constructors do), or adds
+    /// each document's length when one recorder accumulates across
+    /// documents. On a run that ends early the recorder covers the work
+    /// performed up to that point, and on an error return that partial
+    /// work stays in it; a caller that wants totals over successful
+    /// runs only records into a fresh value and merges it on `Ok`.
     ///
     /// # Errors
     ///
     /// As [`try_run`](Self::try_run).
     pub fn try_run_with_recorder<S: Sink>(
-        &self,
-        input: &[u8],
-        sink: &mut S,
-        rec: &mut impl Recorder,
-    ) -> Result<(), RunError> {
-        self.try_run_impl(input, sink, rec)
-    }
-
-    fn try_run_impl<S: Sink>(
         &self,
         input: &[u8],
         sink: &mut S,
@@ -538,32 +482,6 @@ impl Engine {
         // Ingest already validated and size-checked; go straight to
         // matching.
         self.run_limited(&doc, sink, &mut NoStats)
-    }
-
-    /// Like [`run_reader`](Self::run_reader), but additionally returns Tier
-    /// A [`RunStats`] for the matching phase (see
-    /// [`try_run_with_stats`](Self::try_run_with_stats)). Ingest-side work
-    /// (chunk reassembly, incremental validation) is not counted; `bytes`
-    /// reflects the assembled document.
-    ///
-    /// Statistics from runs over separate chunks or documents can be merged
-    /// with [`RunStats`]'s `Add`/`AddAssign`.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_reader`](Self::run_reader).
-    pub fn run_reader_with_stats<R: Read, S: Sink>(
-        &self,
-        mut reader: R,
-        sink: &mut S,
-    ) -> Result<RunStats, RunError> {
-        let doc = input::read_document(&mut reader, &self.options, self.simd)?;
-        let mut stats = RunStats {
-            bytes: doc.len() as u64,
-            ..RunStats::default()
-        };
-        self.run_limited(&doc, sink, &mut stats)?;
-        Ok(stats)
     }
 
     /// Reads a whole document from `reader` with the same protections as
@@ -731,7 +649,6 @@ impl Engine {
         sink: &mut S,
         rec: &mut impl Recorder,
     ) -> Result<(), Interrupt> {
-        let _span = rsq_obs::span!(Dispatch);
         let initial = self.automaton.initial_state();
         if self.fast_path_eligible() {
             // Compile-time routing (DESIGN.md §15): the query shape is a

@@ -170,7 +170,6 @@ fn try_match_first_item(
     if let Some(v) = value_start_after(it.input(), open_pos) {
         sink.record(v)?;
         rec.matched();
-        rsq_obs::event!(Match, v, 0u32);
     }
     Ok(())
 }
@@ -215,7 +214,6 @@ pub(crate) fn run_element(
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
-    let _span = rsq_obs::span!(Element);
     let mut state = state0;
     let mut depth: u32 = 1;
     let mut stack = DepthStack::new();
@@ -271,7 +269,6 @@ pub(crate) fn run_element(
                             return Err(Interrupt::Limit(LimitKind::Depth));
                         }
                         rec.depth(depth);
-                        rsq_obs::event!(LabelSeek, 0u64, depth);
                         // The candidate's parent is necessarily an object.
                         types.set(depth, BracketType::Brace);
                     }
@@ -305,7 +302,6 @@ pub(crate) fn run_element(
                 if automaton.is_rejecting(target) && options.skip_children {
                     // Skipping children (§3.3): nothing below can match.
                     rec.child_skip();
-                    rsq_obs::event!(ChildSkip, pos, depth);
                     let t = rec.clock();
                     let close = it.skip_past_close(bracket);
                     rec.stage_ns(ProfileStage::Classify, t);
@@ -334,7 +330,6 @@ pub(crate) fn run_element(
                 if automaton.is_accepting(state) {
                     sink.record(pos)?;
                     rec.matched();
-                    rsq_obs::event!(Match, pos, depth);
                 }
                 (comma_mode, leaf_active) =
                     apply_toggles(it, automaton, options, state, bracket, &mut *rec);
@@ -342,7 +337,7 @@ pub(crate) fn run_element(
                     try_match_first_item(it, automaton, state, pos, sink, &mut *rec)?;
                 }
             }
-            Structural::Closing(_, _pos) => {
+            Structural::Closing(..) => {
                 if depth == 0 {
                     break; // malformed: more closers than openers
                 }
@@ -361,7 +356,6 @@ pub(crate) fn run_element(
                         // fast-forward to the enclosing object's end. The
                         // closing brace is delivered as the next event.
                         rec.sibling_skip();
-                        rsq_obs::event!(SiblingSkip, _pos, depth);
                         let from = it.position();
                         let t = rec.clock();
                         let close = it.fast_forward_to_close(BracketType::Brace);
@@ -391,7 +385,6 @@ pub(crate) fn run_element(
                 if automaton.is_accepting(target) {
                     sink.record(v)?;
                     rec.matched();
-                    rsq_obs::event!(Match, v, depth);
                 }
                 if options.skip_siblings
                     && automaton.is_unitary(state)
@@ -400,7 +393,6 @@ pub(crate) fn run_element(
                     // The unitary label matched an atomic value; skip the
                     // remaining siblings.
                     rec.sibling_skip();
-                    rsq_obs::event!(SiblingSkip, pos, depth);
                     let from = it.position();
                     let t = rec.clock();
                     let close = it.fast_forward_to_close(BracketType::Brace);
@@ -423,7 +415,6 @@ pub(crate) fn run_element(
                         if let Some(v) = value_start_after(it.input(), pos) {
                             sink.record(v)?;
                             rec.matched();
-                            rsq_obs::event!(Match, v, depth);
                         }
                     }
                     CommaMode::Indexed => {
@@ -434,7 +425,6 @@ pub(crate) fn run_element(
                             if let Some(v) = value_start_after(it.input(), pos) {
                                 sink.record(v)?;
                                 rec.matched();
-                                rsq_obs::event!(Match, v, depth);
                             }
                         }
                     }
@@ -460,7 +450,6 @@ pub(crate) fn run_document(
             if automaton.is_accepting(initial) {
                 sink.record(pos)?; // query `$` on a composite document
                 rec.matched();
-                rsq_obs::event!(Match, pos, 0u32);
             }
             run_element(it, automaton, options, initial, bracket, pos, sink, rec)?;
         }
@@ -474,7 +463,6 @@ pub(crate) fn run_document(
                 if let Some(v) = first_nonws_at(it.input(), 0) {
                     sink.record(v)?;
                     rec.matched();
-                    rsq_obs::event!(Match, v, 0u32);
                 }
             }
         }

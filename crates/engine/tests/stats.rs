@@ -1,7 +1,8 @@
-//! Tier A observability: `try_run_with_stats` must report the work the
-//! engine actually performed, without changing what it reports to the sink.
+//! Tier A observability: a `RunStats` driven through
+//! `try_run_with_recorder` must report the work the engine actually
+//! performed, without changing what it reports to the sink.
 
-use rsq_engine::{Engine, EngineOptions, PositionsSink, RunStats};
+use rsq_engine::{Engine, EngineOptions, PositionsSink, ProfileStats, RunStats};
 use rsq_query::Query;
 
 /// A document exercising every skipping technique: decoy subtrees for
@@ -24,7 +25,10 @@ fn engine(query: &str, options: EngineOptions) -> Engine {
 
 fn positions_with_stats(engine: &Engine, doc: &[u8]) -> (Vec<usize>, RunStats) {
     let mut sink = PositionsSink::new();
-    let stats = engine.try_run_with_stats(doc, &mut sink).unwrap();
+    let mut stats = RunStats::for_document(doc.len());
+    engine
+        .try_run_with_recorder(doc, &mut sink, &mut stats)
+        .unwrap();
     (sink.into_positions(), stats)
 }
 
@@ -45,6 +49,8 @@ fn head_start_stats_count_jumps_declines_and_handoffs() {
     let engine = engine("$..price", EngineOptions::default());
     let (positions, stats) = positions_with_stats(&engine, RICH);
     assert_eq!(positions.len(), 2);
+    assert_eq!(stats.bytes, RICH.len() as u64, "seeded by for_document");
+    assert_eq!(stats.matches, 2);
     // Two genuine labels (one atomic, one composite value)…
     assert_eq!(stats.memmem_jumps, 2);
     // …one lookalike — `"price"` as a string value, declined because no
@@ -194,13 +200,21 @@ fn disabled_techniques_report_exactly_zero() {
 }
 
 #[test]
-fn run_reader_with_stats_matches_slice_path() {
+fn reused_profile_accumulates_document_bytes() {
+    // The engine never counts input bytes; a caller reusing one profile
+    // across documents adds each length itself (as the batch layer does).
     let engine = engine("$..price", EngineOptions::default());
-    let (slice_positions, slice_stats) = positions_with_stats(&engine, RICH);
-    let mut sink = PositionsSink::new();
-    let reader_stats = engine.run_reader_with_stats(RICH, &mut sink).unwrap();
-    assert_eq!(sink.positions(), slice_positions.as_slice());
-    assert_eq!(reader_stats, slice_stats);
+    let docs: [&[u8]; 2] = [RICH, br#"{"price": 1}"#];
+    let mut profile = ProfileStats::new();
+    for doc in docs {
+        profile.stats.bytes += doc.len() as u64;
+        engine
+            .try_run_with_recorder(doc, &mut PositionsSink::new(), &mut profile)
+            .unwrap();
+    }
+    let total: usize = docs.iter().map(|d| d.len()).sum();
+    assert_eq!(profile.stats.bytes, total as u64);
+    assert_eq!(profile.stats.matches, 3);
 }
 
 #[test]
@@ -234,7 +248,12 @@ fn early_stop_keeps_partial_stats() {
         },
     );
     let mut sink = PositionsSink::new();
+    let mut stats = RunStats::for_document(RICH.len());
     // The limit trips after one match: the run errors, but a voluntary
-    // sink stop (SinkFull from a bounded sink) is the clean variant.
-    assert!(engine.try_run_with_stats(RICH, &mut sink).is_err());
+    // sink stop (SinkFull from a bounded sink) is the clean variant. The
+    // work done before the trip stays in the caller's recorder.
+    assert!(engine
+        .try_run_with_recorder(RICH, &mut sink, &mut stats)
+        .is_err());
+    assert_eq!(stats.matches, 1);
 }

@@ -21,13 +21,6 @@
 //!   `RunStats` runs still compile to clock-free code; only a run
 //!   driven by `ProfileStats` (the CLI's `--profile`) reads the clock.
 //!
-//! * **Tier B (compile-time feature `obs-trace`):** the [`event!`] and
-//!   [`span!`] macros write fixed-size records (offset + kind + depth —
-//!   no timestamps, so runs are reproducible) into a bounded thread-local
-//!   ring buffer ([`trace`]), drainable after a run to debug individual
-//!   skip decisions. With the feature off — the default — the macros
-//!   expand to nothing and the ring does not exist in the binary.
-//!
 //! On top of the tiers sits the **live-telemetry layer** consumed by
 //! serve mode's scrape endpoint: rolling-window aggregation
 //! ([`WindowRing`]), per-document pipeline spans ([`DocSpan`] /
@@ -35,12 +28,6 @@
 //! ([`FlightRecorder`]), and the shared Prometheus text-exposition
 //! formatter ([`expo`]). All of it follows the same discipline: no
 //! clock reads and no ring writes unless telemetry is enabled.
-//!
-//! Why a cargo feature and not a runtime flag? A runtime flag costs a
-//! branch (or an atomic load) per recorded event on the hot path, and the
-//! engine records events at block rate. A compile-time feature costs
-//! *nothing* when off, and when on the overhead is explicit and opted
-//! into per build. See `DESIGN.md` §8.
 //!
 //! This crate is dependency-free by design: every crate in the workspace
 //! (including `rsq-classify`, which sits below the engine) can depend on
@@ -73,68 +60,3 @@ pub use span::{DocSpan, SpanRecord, Stopwatch};
 pub use stats::{BlockStats, ClassifierCounters, NoStats, Recorder, Route, RunStats, SkipStats};
 pub use timeline::chrome_trace_json;
 pub use window::{prometheus_telemetry, TelemetryGauges, WindowRing, WindowSnapshot};
-
-#[cfg(feature = "obs-trace")]
-pub mod trace;
-
-/// A zero-sized stand-in returned by [`span!`] when `obs-trace` is off.
-///
-/// It has no `Drop` impl, so binding it compiles to nothing; it exists
-/// only so that `let _span = span!(...)` binds a value in both
-/// configurations without tripping unit-binding lints.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSpan;
-
-/// Records one trace event: `event!(Kind, offset, depth)`.
-///
-/// `Kind` is a [`trace::TraceKind`] variant name; `offset` and `depth`
-/// are evaluated and narrowed to `u64`/`u32`. With the `obs-trace`
-/// feature off this expands to an empty block — the arguments are not
-/// evaluated and no code is generated.
-#[cfg(feature = "obs-trace")]
-#[macro_export]
-macro_rules! event {
-    ($kind:ident, $offset:expr, $depth:expr) => {
-        $crate::trace::record(
-            $crate::trace::TraceKind::$kind,
-            $crate::trace::Stage::None,
-            $offset as u64,
-            $depth as u32,
-        )
-    };
-}
-
-/// Records one trace event: `event!(Kind, offset, depth)`.
-///
-/// `obs-trace` is disabled: expands to an empty block (arguments are not
-/// evaluated; nothing is compiled).
-#[cfg(not(feature = "obs-trace"))]
-#[macro_export]
-macro_rules! event {
-    ($kind:ident, $offset:expr, $depth:expr) => {{}};
-}
-
-/// Opens a span around a pipeline stage: `let _s = span!(Stage);`.
-///
-/// Emits a `SpanEnter` record immediately and a `SpanExit` record when
-/// the returned guard drops. With the `obs-trace` feature off this
-/// expands to [`NoopSpan`] — a zero-sized value with no destructor.
-#[cfg(feature = "obs-trace")]
-#[macro_export]
-macro_rules! span {
-    ($stage:ident) => {
-        $crate::trace::SpanGuard::enter($crate::trace::Stage::$stage)
-    };
-}
-
-/// Opens a span around a pipeline stage: `let _s = span!(Stage);`.
-///
-/// `obs-trace` is disabled: expands to [`NoopSpan`] (nothing is
-/// compiled).
-#[cfg(not(feature = "obs-trace"))]
-#[macro_export]
-macro_rules! span {
-    ($stage:ident) => {
-        $crate::NoopSpan
-    };
-}

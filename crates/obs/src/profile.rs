@@ -267,10 +267,7 @@ impl ProfileStats {
     #[must_use]
     pub fn for_document(doc_bytes: usize) -> Self {
         Self {
-            stats: RunStats {
-                bytes: doc_bytes as u64,
-                ..RunStats::default()
-            },
+            stats: RunStats::for_document(doc_bytes),
             map: Some(SkipMap::new(doc_bytes)),
             ..Self::default()
         }

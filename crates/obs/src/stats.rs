@@ -148,7 +148,8 @@ pub struct SkipStats {
 }
 
 /// Statistics of one engine run — a struct of plain `u64` counters,
-/// obtained from `Engine::try_run_with_stats`.
+/// filled in by passing one (seeded with [`RunStats::for_document`]) to
+/// `Engine::try_run_with_recorder`.
 ///
 /// Counters saturate instead of wrapping, so accumulation can never panic
 /// (even under `-C overflow-checks=on`) and merged totals are monotone.
@@ -190,6 +191,16 @@ impl RunStats {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A report for one `doc_bytes`-long document, with the byte count
+    /// pre-seeded (the engine's recorder hooks never count input bytes).
+    #[must_use]
+    pub fn for_document(doc_bytes: usize) -> Self {
+        Self {
+            bytes: doc_bytes as u64,
+            ..Self::default()
+        }
     }
 
     /// Serializes the report as single-line JSON (no trailing newline).

@@ -1,7 +1,6 @@
 //! RunStats invariants: saturating counters (no overflow panics even
 //! under `-C overflow-checks=on`), correct `Add`/`AddAssign` merging, and
-//! stable JSON key layout. Plus the cfg-gated check that Tier B is truly
-//! compiled out by default.
+//! stable JSON key layout.
 
 use rsq_obs::{ClassifierCounters, Recorder, RunStats};
 
@@ -185,33 +184,4 @@ fn display_is_a_human_table() {
     assert!(text.contains("bytes"), "{text}");
     assert!(text.contains("matches"), "{text}");
     assert!(text.contains("memmem"), "{text}");
-}
-
-/// The acceptance check that the default build contains no ring-buffer
-/// code: with `obs-trace` off, `span!` expands to the zero-sized
-/// [`rsq_obs::NoopSpan`] and `event!` to an empty block — the annotations
-/// below fail to compile if either macro ever expands to trace-ring calls
-/// in this configuration (the `trace` module does not exist at all).
-#[cfg(not(feature = "obs-trace"))]
-#[test]
-fn tier_b_is_compiled_out_by_default() {
-    let span: rsq_obs::NoopSpan = rsq_obs::span!(Element);
-    let event: () = rsq_obs::event!(Match, 123usize, 4u32);
-    let _ = (span, event);
-    assert_eq!(std::mem::size_of::<rsq_obs::NoopSpan>(), 0);
-}
-
-/// With the feature on, the same macros produce live ring records.
-#[cfg(feature = "obs-trace")]
-#[test]
-fn tier_b_is_live_with_the_feature() {
-    rsq_obs::trace::clear();
-    {
-        let _span = rsq_obs::span!(Dispatch);
-        rsq_obs::event!(Match, 123usize, 4u32);
-    }
-    let records = rsq_obs::trace::drain();
-    assert_eq!(records.len(), 3);
-    assert_eq!(records[1].kind, rsq_obs::trace::TraceKind::Match);
-    assert_eq!(records[1].offset, 123);
 }

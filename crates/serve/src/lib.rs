@@ -350,6 +350,10 @@ fn admit_frame(pool: &Pool, frame: Frame) -> bool {
 /// Returns [`ServeError`] only when the query fails to parse or
 /// compile. Transport and per-document failures are reported in the
 /// [`ServeReport`], not as `Err`.
+///
+/// This is [`serve_connection_with`] without a telemetry hub. It stays
+/// a separate entry point because the `perfbench` benchmark harness
+/// calls it.
 pub fn serve_connection<R, W, E>(
     options: &ServeOptions,
     reader: R,
@@ -603,7 +607,9 @@ where
 
 /// Accepts connections on a Unix socket until `shutdown` is set,
 /// serving each to completion (graceful drain: a set flag stops new
-/// accepts; the in-progress connection finishes first).
+/// accepts; the in-progress connection finishes first). An optional
+/// live-telemetry hub is attached to every served connection; see
+/// [`serve_connection_with`].
 ///
 /// Both response streams share the socket: result lines and error lines
 /// interleave per document, which is unambiguous because error lines
@@ -615,21 +621,6 @@ where
 /// as [`io::ErrorKind::InvalidInput`]. Per-connection transport
 /// failures are *not* errors here — they land in the aggregated
 /// report's `io_errors`.
-#[cfg(unix)]
-pub fn serve_unix(
-    options: &ServeOptions,
-    listener: &std::os::unix::net::UnixListener,
-    shutdown: &std::sync::atomic::AtomicBool,
-) -> io::Result<ServeReport> {
-    serve_unix_with(options, None, listener, shutdown)
-}
-
-/// [`serve_unix`] with an optional live-telemetry hub attached to every
-/// served connection. See [`serve_connection_with`].
-///
-/// # Errors
-///
-/// As [`serve_unix`].
 #[cfg(unix)]
 pub fn serve_unix_with(
     options: &ServeOptions,

@@ -141,7 +141,7 @@ impl Telemetry {
         self.flight_window
     }
 
-    /// The graceful-shutdown flag, in the shape `serve_unix` expects.
+    /// The graceful-shutdown flag, in the shape `serve_unix_with` expects.
     #[must_use]
     pub fn shutdown_flag(&self) -> &AtomicBool {
         &self.shutdown

@@ -316,7 +316,8 @@ fn unix_socket_roundtrip_with_graceful_drain() {
     let options = serve_opts("$..b");
 
     let report = std::thread::scope(|scope| {
-        let server = scope.spawn(|| rsq_serve::serve_unix(&options, &listener, &shutdown));
+        let server =
+            scope.spawn(|| rsq_serve::serve_unix_with(&options, None, &listener, &shutdown));
 
         let mut client = std::os::unix::net::UnixStream::connect(&path).unwrap();
         // Drip the corpus in small writes to cross chunk boundaries.

@@ -1,9 +1,9 @@
 //! Observability overhead guard (slow): on a large generated document,
-//! `try_run_with_stats` and the Tier C `try_run_with_profile` must report
-//! byte-identical match positions to `try_run`, and the statistics must
-//! be consistent with the run. The throughput comparison lives in the
-//! `stats-overhead` experiments subcommand (timing assertions are too
-//! flaky for CI).
+//! `try_run_with_recorder` driving a Tier A `RunStats` and the Tier C
+//! `try_run_with_profile` must report byte-identical match positions to
+//! `try_run`, and the statistics must be consistent with the run. The
+//! throughput comparison lives in the `stats-overhead` experiments
+//! subcommand (timing assertions are too flaky for CI).
 
 #![cfg(feature = "slow-tests")]
 
@@ -51,7 +51,10 @@ fn stats_collection_never_changes_matches() {
             let plain = engine.try_positions(&doc).unwrap();
 
             let mut sink = PositionsSink::new();
-            let stats: RunStats = engine.try_run_with_stats(&doc, &mut sink).unwrap();
+            let mut stats = RunStats::for_document(doc.len());
+            engine
+                .try_run_with_recorder(&doc, &mut sink, &mut stats)
+                .unwrap();
             let with_stats = sink.into_positions();
 
             assert_eq!(plain, with_stats, "{query} with {options:?}");
@@ -77,7 +80,10 @@ fn profile_collection_never_changes_matches_or_tier_a_stats() {
         let plain = engine.try_positions(&doc).unwrap();
 
         let mut sink = PositionsSink::new();
-        let stats: RunStats = engine.try_run_with_stats(&doc, &mut sink).unwrap();
+        let mut stats = RunStats::for_document(doc.len());
+        engine
+            .try_run_with_recorder(&doc, &mut sink, &mut stats)
+            .unwrap();
         let with_stats = sink.into_positions();
 
         let mut sink = PositionsSink::new();
